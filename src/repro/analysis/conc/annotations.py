@@ -60,9 +60,11 @@ GUARDED_BY: dict[str, str] = {
     # ``_persist`` which documents "the lock is held".
     "MemoryJournal._entries": "MemoryJournal._lock",
     "FileJournal._entries": "FileJournal._lock",
-    # TaskManager slot accounting.
+    # TaskManager slot accounting; the live-hosting count is the bid's
+    # load and moves with the memory reservation it mirrors.
     "TaskManager._running": "TaskManager._lock",
-    # Bid scheduler state: the archive-locality cache mutates with the
+    "TaskManager._live_hostings": "TaskManager._lock",
+    # Placement state: the archive-locality cache mutates with the
     # hosting tables; rule sequence numbers under the manager lock.
     "TaskManager._archive_cache": "TaskManager._lock",
     "JobManager._rule_counter": "JobManager._lock",

@@ -156,9 +156,9 @@ class CNAPI:
         handle.manager.create_task(handle.job, spec)
 
     def create_tasks(self, handle: JobHandle, specs) -> None:
-        """Create a batch of tasks in one call.  Under the bid scheduler
-        tasks sharing a template are placed through a single
-        rule/bid/award round instead of one solicitation each."""
+        """Create a batch of tasks in one call.  Tasks sharing a template
+        are placed through a single rule/bid/award round instead of one
+        rule each."""
         handle.manager.create_tasks(handle.job, list(specs))
 
     # -- 4. starting ------------------------------------------------------------------

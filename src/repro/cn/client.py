@@ -378,8 +378,7 @@ class ClientRunner:
                     payload=event,
                 )
             )
-        # batch creation: under the bid scheduler the whole roster places
-        # through per-template rule/bid/award rounds instead of one
-        # multicast solicitation per task
+        # batch creation: the whole roster places through per-template
+        # rule/bid/award rounds instead of one 1-task rule per task
         self.api.create_tasks(handle, specs)
         return handle

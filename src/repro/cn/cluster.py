@@ -80,7 +80,6 @@ class Cluster(AbstractContextManager):
         checksums: bool = False,
         transport: "str | Transport | None" = None,
         transport_options: Optional[dict] = None,
-        scheduler: Optional[str] = None,
     ) -> None:
         if nodes < 1:
             raise ValueError("a cluster needs at least one node")
@@ -119,18 +118,6 @@ class Cluster(AbstractContextManager):
                     "inproc transport for fault injection, virtual time, "
                     "and lock verification."
                 )
-        #: placement protocol selection.  An explicit name is
-        #: authoritative; None defers to CN_SCHEDULER so whole suites can
-        #: be re-swept under the bid scheduler (the paper's solicit
-        #: protocol is the degenerate 1-task rule, so both modes are
-        #: compatible with every other feature).
-        if scheduler is None:
-            scheduler = os.environ.get("CN_SCHEDULER", "").strip() or "solicit"
-        if scheduler not in ("solicit", "bid"):
-            raise ConfigError(
-                f"unknown scheduler {scheduler!r}; expected 'solicit' or 'bid'"
-            )
-        self.scheduler = scheduler
         if isinstance(transport, str):
             transport = create_transport(transport, **(transport_options or {}))
         self.transport: Transport = transport
@@ -172,7 +159,6 @@ class Cluster(AbstractContextManager):
                 queue_policy=queue_policy,
                 checksums=checksums,
                 transport=self.transport,
-                scheduler=scheduler,
             )
             for name in names
         ]

@@ -7,10 +7,13 @@ Tasks that requested to be created by the User program.  If a willing
 TaskManager is found the JobManager will upload the JAR file to that
 TaskManager." (paper section 3)
 
-Placement policy: the JobManager multicasts a taskmanager solicitation
-carrying the task's memory/runmodel requirements and picks the willing
-responder with the most free memory (best-fit-decreasing spreads load
-across nodes, which the placement benchmark measures).  The JobManager
+Placement policy: the JobManager multicasts one placement rule per
+batch of tasks sharing a template (jar, class, memory, runmodel); every
+node scores the rule locally and answers with one bid, and a pure fold
+awards tasks to the bids with the most free memory, shrinking each
+bidder's free memory as awards land (see :mod:`repro.cn.scheduler`).
+The paper's per-task solicitation is the 1-task rule: ``create_task``,
+retries and failover re-placement all place that way.  The JobManager
 also drives the dependency DAG: when a task completes, every dependent
 whose dependencies are all complete is started automatically -- this is
 the "transitions are triggered by internal task termination" semantics
@@ -138,11 +141,6 @@ class JobManager:
         self.local_taskmanager = local_taskmanager
         self.jobs: dict[str, Job] = {}
         self._job_counter = 0
-        #: placement protocol: "solicit" (the paper's per-task multicast
-        #: solicit->respond, the default) or "bid" (rule-based bidding --
-        #: one rule per homogeneous batch, nodes score locally and bid,
-        #: awards are a deterministic pure fold; see repro.cn.scheduler)
-        self.scheduler = "solicit"
         self._rule_counter = 0
         self._lock = make_lock("JobManager._lock")
         self._taskmanagers: dict[str, TaskManager] = {}
@@ -192,7 +190,7 @@ class JobManager:
             }
 
     def register_taskmanager(self, tm: TaskManager) -> None:
-        """Make *tm* known for direct upload after a successful solicit."""
+        """Make *tm* known for direct upload after it wins an award."""
         with self._lock:
             self._taskmanagers[tm.name] = tm
         self.failure_detector.watch(tm.name)
@@ -483,18 +481,16 @@ class JobManager:
         return job
 
     def create_task(self, job: Job, spec: TaskSpec) -> TaskRuntime:
-        """Place one task: solicit TaskManagers, upload, create queue."""
+        """Place one task (a 1-task rule), upload, create its queue."""
         return self.create_tasks(job, [spec])[0]
 
     def create_tasks(self, job: Job, specs: Iterable[TaskSpec]) -> list[TaskRuntime]:
         """Place a batch of tasks in one call.
 
-        Under the solicit scheduler this is exactly the per-task loop the
-        paper describes.  Under the bid scheduler tasks sharing a template
-        (jar, class, memory, runmodel) are placed through a single
-        rule/bid/award round instead of one solicitation each -- the whole
-        point of rule-based scheduling -- and the TASK_CREATED
-        notifications fan out through one ``route_many`` batch.
+        Tasks sharing a template (jar, class, memory, runmodel) are placed
+        through a single rule/bid/award round instead of one solicitation
+        each, and the TASK_CREATED notifications fan out through one
+        ``route_many`` batch.
         """
         specs = list(specs)
         runtimes: list[TaskRuntime] = []
@@ -507,21 +503,17 @@ class JobManager:
             # successor knows the full roster even if we die mid-placement
             job.journal_event("task-spec", {"spec": spec})
             runtimes.append(runtime)
-        if self.scheduler == "bid" and len(runtimes) > 1:
-            groups: dict[tuple, list[TaskRuntime]] = {}
-            for runtime in runtimes:
-                spec = runtime.spec
-                if spec.runmodel is RunModel.RUN_IN_JOBMANAGER:
-                    # coordinator tasks stay local in both modes
-                    self._place(job, runtime)
-                    continue
-                key = (spec.jar, spec.cls, spec.memory, spec.runmodel)
-                groups.setdefault(key, []).append(runtime)
-            for group in groups.values():
-                self._place_group(job, group)
-        else:
-            for runtime in runtimes:
-                self._place(job, runtime)
+        groups: dict[tuple, list[TaskRuntime]] = {}
+        for runtime in runtimes:
+            spec = runtime.spec
+            if spec.runmodel is RunModel.RUN_IN_JOBMANAGER:
+                # coordinator tasks are placed one by one, on this servant
+                self._place(job, [runtime])
+                continue
+            key = (spec.jar, spec.cls, spec.memory, spec.runmodel)
+            groups.setdefault(key, []).append(runtime)
+        for group in groups.values():
+            self._place(job, group)
         notifications: list[Message] = []
         for runtime in runtimes:
             if job.has_ledgered(runtime.name):
@@ -540,101 +532,25 @@ class JobManager:
         job.route_many(notifications)
         return runtimes
 
-    def _place(self, job: Job, runtime: TaskRuntime) -> None:
+    def _place(self, job: Job, runtimes: list[TaskRuntime]) -> None:
+        """Place *runtimes* (one template) and record their telemetry:
+        a ``place:<task>#<epoch>`` span per task, the placement counter
+        and one placement-latency observation per call."""
         t = job.telemetry
         if t is None:
-            self._place_inner(job, runtime)
-            return
-        start = t.now()
-        counter = t.metrics.counter("cn_placements_total", manager=self.name)
-        try:
-            self._place_inner(job, runtime)
-        finally:
-            counter.inc()
-            t.metrics.histogram("cn_placement_seconds").observe(t.now() - start)
-            # epoch was bumped by host_task on success, so each effective
-            # placement round gets a distinct span under the task span
-            t.spans.record(
-                job.job_id,
-                f"place:{runtime.name}#{runtime.epoch}",
-                start=start,
-                end=t.now(),
-                name=f"place {runtime.name}",
-                kind="place",
-                parent_id=f"task:{runtime.name}",
-                node=runtime.node_name,
-                task=runtime.name,
-                epoch=runtime.epoch,
-            )
-
-    def _place_inner(self, job: Job, runtime: TaskRuntime) -> None:
-        spec = runtime.spec
-        if spec.runmodel is RunModel.RUN_IN_JOBMANAGER and self.local_taskmanager:
-            # coordinator-style task runs on this servant's own TM
-            task_class = self.registry.resolve(spec.jar, spec.cls)
-            self.local_taskmanager.host_task(job, runtime, task_class)
-            job.journal_event(
-                "task-placed",
-                {"task": spec.name, "node": runtime.node_name, "epoch": runtime.epoch},
-            )
-            return
-        if self.scheduler == "bid":
-            # the paper's protocol as the degenerate 1-task rule: retries
-            # and failover re-placement funnel through here, so every
-            # recovery path re-places from rules too
-            self._place_rule(job, [runtime])
-            return
-        offers = self.bus.solicit(
-            Solicitation(
-                kind="taskmanager",
-                requirements={
-                    "memory": spec.memory,
-                    "runmodel": spec.runmodel.value,
-                    "jar": spec.jar,
-                },
-                sender=self.name,
-            )
-        )
-        # a dead node's stale offer must not win placement
-        dead = self.failure_detector.dead_nodes()
-        offers = [o for o in offers if o[1]["taskmanager"] not in dead]
-        if not offers:
-            raise NoWillingTaskManager(
-                f"no TaskManager willing to host {spec.name!r} "
-                f"(memory {spec.memory}, runmodel {spec.runmodel.value})"
-            )
-        # best fit: most free memory first; ties broken by name for determinism
-        offers.sort(key=lambda item: (-item[1]["free_memory"], item[0]))
-        tm_name = offers[0][1]["taskmanager"]
-        tm = self._tm_lookup(tm_name)
-        if tm is None:
-            raise CnError(
-                f"TaskManager {tm_name!r} responded on the bus but is not "
-                f"registered with JobManager {self.name!r} for upload"
-            )
-        task_class = self.registry.resolve(spec.jar, spec.cls)  # "upload the JAR"
-        tm.host_task(job, runtime, task_class)
-        job.journal_event(
-            "task-placed",
-            {"task": spec.name, "node": runtime.node_name, "epoch": runtime.epoch},
-        )
-
-    def _place_group(self, job: Job, runtimes: list[TaskRuntime]) -> None:
-        """Telemetry wrapper around a batched rule placement (mirrors
-        :meth:`_place` for the per-task path)."""
-        t = job.telemetry
-        if t is None:
-            self._place_rule(job, runtimes)
+            self._place_inner(job, runtimes)
             return
         start = t.now()
         try:
-            self._place_rule(job, runtimes)
+            self._place_inner(job, runtimes)
         finally:
             end = t.now()
             t.metrics.counter("cn_placements_total", manager=self.name).inc(
                 len(runtimes)
             )
             t.metrics.histogram("cn_placement_seconds").observe(end - start)
+            # epoch was bumped by host_task on success, so each effective
+            # placement round gets a distinct span under the task span
             for runtime in runtimes:
                 t.spans.record(
                     job.job_id,
@@ -648,6 +564,20 @@ class JobManager:
                     task=runtime.name,
                     epoch=runtime.epoch,
                 )
+
+    def _place_inner(self, job: Job, runtimes: list[TaskRuntime]) -> None:
+        spec = runtimes[0].spec
+        if spec.runmodel is RunModel.RUN_IN_JOBMANAGER and self.local_taskmanager:
+            # coordinator-style task runs on this servant's own TM
+            (runtime,) = runtimes
+            task_class = self.registry.resolve(spec.jar, spec.cls)
+            self.local_taskmanager.host_task(job, runtime, task_class)
+            job.journal_event(
+                "task-placed",
+                {"task": spec.name, "node": runtime.node_name, "epoch": runtime.epoch},
+            )
+            return
+        self._place_rule(job, runtimes)
 
     def _place_rule(self, job: Job, runtimes: list[TaskRuntime]) -> None:
         """Place a template-homogeneous batch through rule/bid/award.
@@ -816,7 +746,7 @@ class JobManager:
     ) -> None:
         """The single recovery path for retries, deadline expiries, and
         node failures: evict the old hosting, back off (retries only),
-        re-place via fresh solicitation, replay the task's message ledger
+        re-place through a fresh 1-task rule, replay the task's message ledger
         into the new queue, and restart whatever became ready.
 
         The re-placement may land on a different node -- the useful
@@ -841,7 +771,7 @@ class JobManager:
                     self._sleeper(delay)
             runtime.state = TaskState.PENDING
             try:
-                self._place(job, runtime)
+                self._place(job, [runtime])
             except CnError:
                 runtime.state = TaskState.FAILED
                 runtime.error = (

@@ -49,7 +49,7 @@ def _node_of(name: str) -> str:
 class Solicitation:
     """A multicast request: what is being solicited and its requirements."""
 
-    kind: str  # "jobmanager" | "taskmanager" | "rule" (bid scheduler)
+    kind: str  # "jobmanager" | "rule" (task placement)
     requirements: dict
     sender: str
 

@@ -1,8 +1,8 @@
-"""Rule-based bidding scheduler: decentralized, locality-aware placement.
+"""Rule-based bidding: decentralized, locality-aware task placement.
 
 The paper's protocol solicits every node once *per task*; placement cost
 is O(tasks x nodes) bus deliveries and the JobManager serializes the
-whole exchange. This module implements the alternative borrowed from
+whole exchange. This module implements the generalization borrowed from
 PYME's rule-based ActionManager: the JobManager publishes one compact
 :class:`PlacementRule` describing a *batch* of homogeneous tasks, every
 node locally scores the rule against its own capability, free memory,
@@ -10,16 +10,16 @@ load, and data locality (archive cache + already-hosted producers) and
 answers with a single :class:`Bid`, and the manager converts bids into
 awards with the pure, deterministic :func:`award_bids` fold.
 
-The paper's protocol is preserved as the degenerate 1-task rule: a rule
-with one task and ``seed=0`` awards to exactly the node the solicit
-scheduler would have picked (most free memory, then name).
+The paper's protocol is the 1-task rule: it awards to a node with the
+most free memory, as the paper's best-fit choice does. Among nodes tied
+on free memory, locality and then load decide before the name does.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from collections.abc import Iterable
+from dataclasses import dataclass
 
 __all__ = ["PlacementRule", "Bid", "award_bids"]
 
@@ -40,8 +40,8 @@ class PlacementRule:
     cls: str
     memory: int
     runmodel: str
-    tasks: Tuple[str, ...]
-    depends: Tuple[str, ...] = ()
+    tasks: tuple[str, ...]
+    depends: tuple[str, ...] = ()
     manager_epoch: int = 0
 
     @property
@@ -65,31 +65,24 @@ class Bid:
     load: int = 0
     locality: int = 0
 
-    @property
-    def score(self) -> float:
-        """Scalar summary for telemetry/debugging (not used to award)."""
-        return self.free_memory + 1000.0 * self.locality - 100.0 * self.load
-
 
 def award_bids(
-    rule: PlacementRule,
-    bids: Iterable[Bid],
-    *,
-    seed: int = 0,
-) -> Tuple[List[Tuple[str, str]], List[str]]:
+    rule: PlacementRule, bids: Iterable[Bid]
+) -> tuple[list[tuple[str, str]], list[str]]:
     """Deterministically convert bids into awards.
 
     Returns ``(awards, unplaced)`` where ``awards`` is a list of
     ``(task_name, taskmanager)`` pairs and ``unplaced`` lists tasks no
-    bidder could take. The fold is pure: given the same ``(rule, bids,
-    seed)`` it returns the same awards regardless of bid arrival order
-    (bids are canonicalized by taskmanager name first).
+    bidder could take. The fold is pure: given the same ``(rule, bids)``
+    it returns the same awards regardless of bid arrival order (bids are
+    canonicalized by taskmanager name first).
 
     Award order mirrors the paper's best-fit: highest *virtual* free
     memory wins (free memory minus memory already awarded this round),
-    locality breaks ties, then lowest load, then name rank. With a
-    single 1-task rule and ``seed=0`` this degenerates to the solicit
-    scheduler's ``(-free_memory, name)`` choice exactly.
+    locality breaks ties, then lowest load, then name. A 1-task rule
+    therefore awards within the paper's most-free-memory class, and
+    exactly to the paper's ``(-free_memory, name)`` choice when locality
+    and load tie.
     """
     # Canonicalize: dedupe by taskmanager (best bid wins), drop useless
     # bids, and order by name so arrival order cannot matter.
@@ -113,16 +106,11 @@ def award_bids(
     order = sorted(best)
     if not order:
         return [], list(rule.tasks)
-    # A nonzero seed rotates name-rank tie-breaking so repeated rounds
-    # don't always dogpile the alphabetically-first node.
-    if seed:
-        pivot = seed % len(order)
-        order = order[pivot:] + order[:pivot]
 
     # Heap of (-virtual_free_memory, -locality, load + taken, rank).
     # Each pop awards one task and re-pushes the node with its virtual
-    # occupancy updated, so a batch spreads exactly like the per-task
-    # solicit loop would have (free memory shrinks as awards land).
+    # occupancy updated, so a batch spreads like the paper's per-task
+    # best-fit loop (free memory shrinks as awards land).
     heap: list[tuple[int, int, int, int]] = []
     state: dict[int, tuple[Bid, int]] = {}  # rank -> (bid, taken)
     for rank, name in enumerate(order):
@@ -130,8 +118,8 @@ def award_bids(
         state[rank] = (bid, 0)
         heapq.heappush(heap, (-bid.free_memory, -bid.locality, bid.load, rank))
 
-    awards: List[Tuple[str, str]] = []
-    unplaced: List[str] = []
+    awards: list[tuple[str, str]] = []
+    unplaced: list[str] = []
     for task in rule.tasks:
         placed = False
         while heap:

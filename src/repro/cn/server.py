@@ -6,8 +6,8 @@ section 3)
 
 A CNServer is one simulated cluster node: it subscribes both of its
 components to the multicast bus (jobmanager solicitations answered by
-the JobManager, taskmanager solicitations by the TaskManager's capacity
-check) and registers itself with peer JobManagers so any manager can
+the JobManager, placement rules by the TaskManager's locally computed
+bid) and registers itself with peer JobManagers so any manager can
 upload tasks to any node.  It also relays heartbeat events from the bus
 into its JobManager's failure detector, and can leave/rejoin the subnet
 wholesale when its node crashes or revives.
@@ -22,7 +22,6 @@ from .durability import JobDirectory, ReplicatedJournal
 from .jobmanager import JobManager
 from .multicast import MulticastBus, Solicitation
 from .registry import TaskRegistry
-from .runmodel import RunModel
 from .taskmanager import TaskManager
 from .transport.base import Transport
 
@@ -51,7 +50,6 @@ class CNServer:
         queue_policy: str = "block",
         checksums: bool = False,
         transport: Optional[Transport] = None,
-        scheduler: str = "solicit",
     ) -> None:
         self.name = name
         self.bus = bus
@@ -82,7 +80,6 @@ class CNServer:
             retry_backoff=retry_backoff,
         )
         self.jobmanager.checksums = checksums
-        self.jobmanager.scheduler = scheduler
         self._subscribed = False
         #: this node's replica of the write-ahead job journal (durability
         #: extension); None until the Cluster attaches one
@@ -125,20 +122,6 @@ class CNServer:
             if not self.accept_jobs:
                 return None
             return self.jobmanager.willing_to_manage(solicitation)
-        if solicitation.kind == "taskmanager":
-            if not self.accept_tasks:
-                return None
-            memory = int(solicitation.requirements.get("memory", 0))
-            runmodel = RunModel.parse(
-                solicitation.requirements.get("runmodel", RunModel.RUN_AS_THREAD_IN_TM.value)
-            )
-            if not self.taskmanager.can_host(memory, runmodel):
-                return None
-            return {
-                "taskmanager": self.taskmanager.name,
-                "free_memory": self.taskmanager.free_memory,
-                "free_slots": self.taskmanager.free_slots,
-            }
         if solicitation.kind == "rule":
             # decentralized scheduling: expand the rule locally and bid
             if not self.accept_tasks:

@@ -106,9 +106,13 @@ class TaskManager:
         self.crash_hook: Optional[Callable[[], None]] = None
         self._memory_used = 0
         self._slots_used = 0
+        #: hostings whose memory reservation is still held -- the bid's
+        #: ``load``, kept beside ``_memory_used`` so bidding is O(1)
+        #: however many finished hostings ``_hosted`` remembers
+        self._live_hostings = 0
         self._hosted: dict[tuple[str, str], HostedTask] = {}
         #: archives (JAR names) already unpacked on this node -- makes
-        #: the bid scheduler's "do I have this?" locality check O(1)
+        #: the bid's "do I have this?" locality check O(1)
         self._archive_cache: set = set()
         self._lock = make_lock("TaskManager._lock")
         self._shutdown = False
@@ -150,14 +154,13 @@ class TaskManager:
     def compute_bid(self, rule: "PlacementRule") -> Optional["Bid"]:
         """Score a placement rule locally and return this node's bid.
 
-        This is the decentralized half of the bid scheduler: the node --
+        This is the decentralized half of placement: the node --
         not the JobManager -- expands the rule against its own state and
         answers with how many of the rule's tasks it could take and how
         good a home it would be.  Locality is O(1) per probe: archive
         presence comes from :attr:`_archive_cache` and upstream-producer
         presence from the ``_hosted`` map.  Returns None when the node
-        cannot take any task from the rule (the solicit scheduler's
-        "no offer").
+        cannot take any task from the rule.
         """
         runmodel = RunModel.parse(rule.runmodel)
         with self._lock:
@@ -179,9 +182,6 @@ class TaskManager:
                 capacity = min(capacity, free_slots)
             if capacity <= 0:
                 return None
-            load = sum(
-                1 for h in self._hosted.values() if not h.runtime.state.terminal
-            )
             locality = 1 if rule.jar in self._archive_cache else 0
             for dep in rule.depends:
                 if (rule.job_id, dep) in self._hosted:
@@ -190,7 +190,7 @@ class TaskManager:
                 taskmanager=self.name,
                 capacity=capacity,
                 free_memory=free_mem,
-                load=load,
+                load=self._live_hostings,
                 locality=locality,
             )
 
@@ -225,6 +225,7 @@ class TaskManager:
             self._hosted.clear()
             self._memory_used = 0
             self._slots_used = 0
+            self._live_hostings = 0
         for h in hosted:
             if h.context is not None:
                 h.context.cancelled = True
@@ -240,6 +241,7 @@ class TaskManager:
             self._crashed = False
             self._memory_used = 0
             self._slots_used = 0
+            self._live_hostings = 0
             self._hosted.clear()
             self._archive_cache.clear()
 
@@ -261,6 +263,7 @@ class TaskManager:
                     f"free memory {self.free_memory}, requested {runtime.spec.memory}"
                 )
             self._memory_used += runtime.spec.memory
+            self._live_hostings += 1
             runtime.queue = MessageQueue(
                 owner=f"{job.job_id}/{runtime.name}",
                 maxsize=self.queue_maxsize,
@@ -641,6 +644,7 @@ class TaskManager:
                     # placed but never started: no task thread exists to
                     # release the memory reservation on exit
                     self._memory_used -= h.runtime.spec.memory
+                    self._live_hostings -= 1
         names = []
         for (_, name), h in victims:
             if h.context is not None:
@@ -665,6 +669,7 @@ class TaskManager:
             if self._crashed:
                 return  # crash already zeroed the accounting
             self._memory_used -= runtime.spec.memory
+            self._live_hostings -= 1
             if runtime.spec.runmodel.occupies_slot:
                 self._slots_used -= 1
 
@@ -683,10 +688,9 @@ class TaskManager:
             hosted.runtime.queue.close()
 
     def hosted_count(self) -> int:
+        """Hostings still holding their memory reservation (the bid's load)."""
         with self._lock:
-            return len(
-                [h for h in self._hosted.values() if not h.runtime.state.terminal]
-            )
+            return self._live_hostings
 
     def queued_messages(self) -> int:
         """Messages sitting in this node's hosted task queues right now --

@@ -1,5 +1,7 @@
 """Unit tests for job/task runtime internals and node components."""
 
+import sys
+
 import pytest
 
 from repro.cn import (
@@ -9,6 +11,7 @@ from repro.cn import (
     Message,
     MessageType,
     MulticastBus,
+    PlacementRule,
     RunModel,
     TaskManager,
     TaskRegistry,
@@ -221,6 +224,67 @@ class TestTaskManagerAccounting:
         with pytest.raises(Exception):
             self.hosted_job(tm)
 
+    @staticmethod
+    def probe_rule():
+        return PlacementRule(
+            rule_id="r1",
+            job_id="probe",
+            manager="m/jm",
+            jar="x.jar",
+            cls="p.T",
+            memory=0,
+            runmodel=RunModel.RUN_AS_THREAD_IN_TM.value,
+            tasks=("probe",),
+        )
+
+    def test_bid_load_counts_live_hostings(self):
+        tm = self.make()
+
+        def load():
+            return tm.compute_bid(self.probe_rule()).load
+
+        assert load() == 0
+        job, _ = self.hosted_job(tm, name="a", memory=500)
+        assert load() == 1
+        tm.start_task(job, "a")
+        job.wait(5)
+        assert load() == 0  # completion releases the hosting
+        # placed, then evicted before it ever started
+        self.hosted_job(tm, name="b")
+        assert load() == 1
+        tm.evict_job("j1")
+        assert load() == 0
+        assert tm.free_memory == 2000
+        # a crash drops every hosting and a revived node comes back empty
+        self.hosted_job(tm, name="c")
+        assert load() == 1
+        tm.crash()
+        tm.revive()
+        assert load() == 0
+        self.hosted_job(tm, name="d")
+        assert load() == 1
+
+    def test_bid_load_survives_concurrent_releases(self):
+        # 48 task threads release their hostings concurrently on 2 cores;
+        # a lost update would leave the count (and the memory) off zero
+        tm = TaskManager("tm", memory_capacity=48_000, slots=48)
+        job = Job("j1", "c")
+        for i in range(48):
+            runtime = job.add_task(
+                TaskSpec(name=f"t{i}", jar="x.jar", cls="p.T", memory=1000)
+            )
+            tm.host_task(job, runtime, Echo)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for i in range(48):
+                tm.start_task(job, f"t{i}")
+            job.wait(10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert tm.free_memory == 48_000
+        assert tm.compute_bid(self.probe_rule()).load == 0
+
     def test_hosted_count(self):
         tm = self.make()
         job, _ = self.hosted_job(tm)
@@ -238,16 +302,37 @@ class TestCNServerResponder:
         server.start()
         return bus, server
 
+    @staticmethod
+    def rule(memory):
+        return Solicitation(
+            "rule",
+            {
+                "rule": PlacementRule(
+                    rule_id="r1",
+                    job_id="job1",
+                    manager="c/jm",
+                    jar="echo.jar",
+                    cls="test.Echo",
+                    memory=memory,
+                    runmodel=RunModel.RUN_AS_THREAD_IN_TM.value,
+                    tasks=("t0",),
+                )
+            },
+            "c",
+        )
+
     def test_jobmanager_offer(self):
         bus, server = self.make()
         offers = bus.solicit(Solicitation("jobmanager", {"tasks": 2}, "c"))
         assert offers and offers[0][0] == "n0"
         assert offers[0][1]["free_job_slots"] > 0
 
-    def test_taskmanager_offer_respects_memory(self):
+    def test_rule_bid_respects_memory(self):
         bus, server = self.make()
-        assert bus.solicit(Solicitation("taskmanager", {"memory": 500}, "c"))
-        assert not bus.solicit(Solicitation("taskmanager", {"memory": 5000}, "c"))
+        ((_, bid),) = bus.solicit(self.rule(500))
+        assert bid.taskmanager == "n0/tm" and bid.capacity == 1
+        assert bid.free_memory == 1000
+        assert not bus.solicit(self.rule(5000))
 
     def test_unknown_kind_ignored(self):
         bus, server = self.make()
@@ -256,7 +341,7 @@ class TestCNServerResponder:
     def test_accept_flags(self):
         bus, server = self.make(accept_jobs=False, accept_tasks=False)
         assert bus.solicit(Solicitation("jobmanager", {}, "c")) == []
-        assert bus.solicit(Solicitation("taskmanager", {"memory": 1}, "c")) == []
+        assert bus.solicit(self.rule(1)) == []
 
     def test_shutdown_unsubscribes(self):
         bus, server = self.make()
