@@ -14,13 +14,19 @@ feasibility against a cluster spec.
 Every finding is a structured :class:`Diagnostic` (stable ``CNxxx``
 code, severity, source location in the originating element, fix hint).
 ``python -m repro.analysis`` exposes the analyzer on the command line;
-:mod:`repro.core.cnx.validate`, :class:`repro.cn.client.ClientRunner`
-and :class:`repro.cn.portal.Portal` all run the same engine, so a
-defective descriptor is rejected with identical diagnostics no matter
-where it enters the pipeline.
+:func:`validate_cnx` (the pipeline's CNX step),
+:class:`repro.cn.client.ClientRunner` and :class:`repro.cn.portal.Portal`
+all run the same engine, so a defective descriptor is rejected with
+identical diagnostics no matter where it enters the pipeline.
 """
 
-from .diagnostics import Diagnostic, Report, Severity, SourceLocation
+from .diagnostics import (
+    CnxValidationError,
+    Diagnostic,
+    Report,
+    Severity,
+    SourceLocation,
+)
 from .ir import (
     ClusterSpec,
     Composition,
@@ -38,7 +44,9 @@ from .passes import (
     analyze_cnx,
     analyze_model,
     analyze_source,
+    argument_expression_problem,
     default_passes,
+    validate_cnx,
 )
 
 __all__ = [
@@ -46,6 +54,7 @@ __all__ = [
     "SourceLocation",
     "Diagnostic",
     "Report",
+    "CnxValidationError",
     "TaskNode",
     "JobGraph",
     "Composition",
@@ -60,5 +69,7 @@ __all__ = [
     "analyze_cnx",
     "analyze_model",
     "analyze_source",
+    "argument_expression_problem",
     "default_passes",
+    "validate_cnx",
 ]

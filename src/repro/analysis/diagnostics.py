@@ -3,12 +3,11 @@
 A :class:`Diagnostic` is one finding: a stable error code (``CNxxx``
 from cnlint, the model analyzer, or ``CCxxx`` from conclint, the
 concurrency analyzer), a severity, a human message (phrased to match the
-historical validator strings, which :mod:`repro.core.cnx.validate` still
-exposes), a :class:`SourceLocation` pointing into the originating
-XMI/CNX element or Python source line, and an optional fix hint.  A
-:class:`Report` is the ordered collection a full analysis produces, with
-filtering, baseline-suppression, and rendering helpers shared by the
-CLIs, the portal, and the client runner.  Both analyzers share this one
+historical validator strings), a :class:`SourceLocation` pointing into
+the originating XMI/CNX element or Python source line, and an optional
+fix hint.  A :class:`Report` is the ordered collection a full analysis
+produces, with filtering, baseline-suppression, and rendering helpers
+shared by the CLIs, the portal, and the client runner.  Both analyzers share this one
 model, so the portal diagnostics artifact and ``--json`` output use a
 single schema regardless of which tool produced a finding.
 """
@@ -19,7 +18,14 @@ import enum
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Optional
 
-__all__ = ["Severity", "SourceLocation", "Diagnostic", "Report", "tool_for_code"]
+__all__ = [
+    "Severity",
+    "SourceLocation",
+    "Diagnostic",
+    "Report",
+    "CnxValidationError",
+    "tool_for_code",
+]
 
 
 def tool_for_code(code: str) -> str:
@@ -158,9 +164,22 @@ class Report:
         return [d.to_dict() for d in self.diagnostics]
 
     def legacy_problems(self) -> list[str]:
-        """Error messages in the historical ``collect_problems`` string
-        format (the messages themselves are phrased compatibly)."""
+        """Error messages as plain strings, in the historical validator
+        phrasing (the :class:`CnxValidationError` message list)."""
         return [d.message for d in self.errors()]
 
     def __repr__(self) -> str:
         return f"<Report {self.summary()}>"
+
+
+class CnxValidationError(ValueError):
+    """A descriptor has error-severity findings.
+
+    ``problems`` holds the error messages and ``diagnostics`` the
+    structured :class:`Diagnostic` records behind them."""
+
+    def __init__(self, report: Report) -> None:
+        self.problems = report.legacy_problems()
+        self.diagnostics = report.errors()
+        joined = "\n  - ".join(self.problems)
+        super().__init__(f"CNX document is not valid:\n  - {joined}")

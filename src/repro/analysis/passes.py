@@ -27,7 +27,8 @@ CN301   dynamic task lacks a multiplicity
 CN302   static task carries dynamic attributes
 CN303   malformed multiplicity specification
 CN304   impossible multiplicity bounds (lower > upper)
-CN305   dynamic argument expression is not valid Python syntax
+CN305   dynamic argument expression is not valid Python or leaves the
+        allow-list (attribute access, dunder names, other calls)
 CN401   splitter fan-out / joiner fan-in mismatch (warning)
 CN501   declared message is never received (warning)
 CN502   task waits for a message that is never sent
@@ -45,17 +46,24 @@ CN705   unnamed job carries an ``after`` ordering
 CN801   archive/class reference unresolvable against the task registry
 ======  ====================================================================
 
-Messages keep the historical :mod:`repro.core.cnx.validate` phrasing so
-that module's ``collect_problems`` can delegate here verbatim.
+Messages keep the historical CNX validator phrasing (see
+:meth:`Report.legacy_problems`).
 """
 
 from __future__ import annotations
 
+import ast
 import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
 
-from .diagnostics import Diagnostic, Report, Severity, SourceLocation
+from .diagnostics import (
+    CnxValidationError,
+    Diagnostic,
+    Report,
+    Severity,
+    SourceLocation,
+)
 from .ir import (
     ANY,
     ClusterSpec,
@@ -80,7 +88,9 @@ __all__ = [
     "analyze_cnx",
     "analyze_model",
     "analyze_source",
+    "argument_expression_problem",
     "parse_multiplicity",
+    "validate_cnx",
 ]
 
 #: code -> one-line description (the table above, machine-readable)
@@ -105,7 +115,7 @@ CODES: dict[str, str] = {
     "CN302": "static task carries dynamic attributes",
     "CN303": "malformed multiplicity specification",
     "CN304": "impossible multiplicity bounds",
-    "CN305": "dynamic argument expression is not valid Python",
+    "CN305": "dynamic argument expression is invalid or not allow-listed",
     "CN401": "splitter fan-out / joiner fan-in mismatch",
     "CN501": "declared message is never received",
     "CN502": "task waits for a message that is never sent",
@@ -400,6 +410,43 @@ def _param_type_problem(ptype: str, value: str) -> str:
 
 _MULT_RE = re.compile(r"^(\*|\d+|\d+\.\.(\d+|\*))$")
 
+#: the only builtins a dynamic argument expression sees (and may call)
+ARGUMENT_BUILTINS: dict[str, Callable] = {
+    "range": range,
+    "len": len,
+    "min": min,
+    "max": max,
+    "list": list,
+}
+
+
+def argument_expression_problem(expression: str) -> Optional[str]:
+    """Why *expression* may not run as a dynamic argument expression, or
+    None when it may.
+
+    Restricted builtins alone are no sandbox: attribute access reaches
+    ``().__class__.__mro__[1].__subclasses__()`` and from there every
+    loaded module.  So the syntax tree is allow-listed instead: no
+    attribute access, no dunder names, and calls only to
+    :data:`ARGUMENT_BUILTINS` by name."""
+    try:
+        tree = ast.parse(expression, mode="eval")
+    except SyntaxError as exc:
+        return f"is not valid Python: {exc.msg}"
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            return f"uses attribute access ('.{node.attr}')"
+        if isinstance(node, ast.Name) and node.id.startswith("__"):
+            return f"uses the dunder name {node.id!r}"
+        if isinstance(node, ast.Call) and not (
+            isinstance(node.func, ast.Name) and node.func.id in ARGUMENT_BUILTINS
+            # a method call is reported as the attribute access it is
+            or isinstance(node.func, ast.Attribute)
+        ):
+            allowed = ", ".join(ARGUMENT_BUILTINS)
+            return f"calls something other than the builtins {allowed}"
+    return None
+
 
 def parse_multiplicity(spec: str) -> Optional[tuple[int, Optional[int]]]:
     """``(low, high)`` bounds of a multiplicity spec (high=None means
@@ -456,19 +503,20 @@ class DynamicsPass(AnalysisPass):
                             f"{task.multiplicity!r} has lower bound above upper bound",
                             task.location,
                         )
-                if task.dynamic and task.arguments:
-                    try:
-                        compile(task.arguments, "<arguments>", "eval")
-                    except SyntaxError as exc:
-                        yield self.error(
-                            "CN305",
-                            f"{label}: dynamic task {task.name!r} argument "
-                            f"expression {task.arguments!r} is not valid Python: "
-                            f"{exc.msg}",
-                            task.location,
-                            "the expression is evaluated at run time to yield "
-                            "one argument list per invocation",
-                        )
+                problem = (
+                    argument_expression_problem(task.arguments)
+                    if task.dynamic and task.arguments
+                    else None
+                )
+                if problem is not None:
+                    yield self.error(
+                        "CN305",
+                        f"{label}: dynamic task {task.name!r} argument "
+                        f"expression {task.arguments!r} {problem}",
+                        task.location,
+                        "the expression is evaluated at run time to yield "
+                        "one argument list per invocation",
+                    )
 
 
 # ---------------------------------------------------------------------------
@@ -859,6 +907,15 @@ def analyze_cnx(
 ) -> Report:
     """Analyze a parsed CNX document."""
     return analyze(from_cnx(doc), context)
+
+
+def validate_cnx(doc: "CnxDocument") -> "CnxDocument":
+    """Return *doc*, or raise :class:`CnxValidationError` if the analyzer
+    reports an error (warnings pass silently)."""
+    report = analyze_cnx(doc)
+    if not report.ok:
+        raise CnxValidationError(report)
+    return doc
 
 
 def analyze_model(

@@ -22,9 +22,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional, Sequence
 
-from ..analysis import AnalysisContext, ClusterSpec, Diagnostic, analyze_cnx
+from ..analysis import (
+    AnalysisContext,
+    ClusterSpec,
+    CnxValidationError,
+    Diagnostic,
+    analyze_cnx,
+    argument_expression_problem,
+)
+from ..analysis.passes import ARGUMENT_BUILTINS
 from ..core.cnx.schema import CnxDocument, CnxJob, CnxTask
-from ..core.cnx.validate import CnxValidationError
 from .api import CNAPI, JobHandle
 from .cluster import Cluster
 from .errors import JobError
@@ -33,19 +40,21 @@ from .messages import Message, MessageType
 
 __all__ = ["ClientRunner", "ClientResult", "expand_dynamic_tasks", "evaluate_arguments"]
 
-_SAFE_BUILTINS = {"range": range, "len": len, "min": min, "max": max, "list": list}
-
-
 def evaluate_arguments(expression: str, env: Mapping[str, Any]) -> list[tuple]:
     """Evaluate a dynamic-invocation argument expression.
 
-    The expression runs with no builtins beyond a small allow-list and
-    sees the runtime arguments as names.  Result must be an iterable of
-    argument lists; scalars inside are wrapped into 1-tuples.
+    The expression must pass :func:`~repro.analysis.argument_expression_problem`
+    (the analyzer's CN305 check); it runs with no builtins beyond
+    :data:`~repro.analysis.passes.ARGUMENT_BUILTINS` and sees the runtime
+    arguments as names.  Result must be an iterable of argument lists;
+    scalars inside are wrapped into 1-tuples.
     """
+    problem = argument_expression_problem(expression)
+    if problem is not None:
+        raise JobError(f"dynamic argument expression {expression!r} {problem}")
     namespace = dict(env)
     try:
-        value = eval(expression, {"__builtins__": _SAFE_BUILTINS}, namespace)
+        value = eval(expression, {"__builtins__": ARGUMENT_BUILTINS}, namespace)
     except Exception as exc:  # noqa: BLE001  # conclint: waive CC302 -- user expression may fail any way; converted to JobError
         raise JobError(
             f"dynamic argument expression {expression!r} failed: {exc}"
@@ -295,12 +304,12 @@ class ClientRunner:
         Before anything reaches the cluster the full static analyzer
         runs over the descriptor (including placement feasibility
         against this runner's cluster): error-severity findings raise
-        :class:`~repro.core.cnx.validate.CnxValidationError` with the
+        :class:`~repro.analysis.CnxValidationError` with the
         structured diagnostics attached, warnings are collected on the
         returned :class:`ClientResult`."""
         report = self.analyze(doc)
         if not report.ok:
-            raise CnxValidationError(report.legacy_problems(), report.errors())
+            raise CnxValidationError(report)
         runtime_args = dict(runtime_args or {})
         outcome = ClientResult(
             client_class=doc.client.cls, warnings=report.warnings()

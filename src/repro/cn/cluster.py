@@ -4,7 +4,7 @@
 could run their client programs from any machine on the subnet." (paper
 section 3)
 
-:class:`Cluster` builds N homogeneous (or caller-specified) CNServers,
+:class:`Cluster` builds N homogeneous CNServers (``node0`` ...),
 wires every JobManager to every TaskManager (the subnet is flat), and
 owns lifecycle.  It is intentionally cheap to construct so tests and
 benchmarks can spin up clusters of various sizes.
@@ -25,7 +25,7 @@ from __future__ import annotations
 import os
 import threading
 from contextlib import AbstractContextManager
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..analysis.conc.runtime import (
     LockVerifier,
@@ -35,7 +35,7 @@ from ..analysis.conc.runtime import (
 )
 from .chaos import ChaosPolicy, ExponentialBackoff, VirtualClock
 from .errors import ConfigError
-from .transport import Transport, create_transport, transport_from_env
+from .transport import TRANSPORTS, Transport, create_transport, transport_from_env
 from .durability import (
     JobDirectory,
     MemoryJournal,
@@ -51,6 +51,9 @@ __all__ = ["Cluster"]
 
 _DEFAULT = object()  # sentinel: "build a fresh enabled Telemetry hub"
 
+#: virtual seconds the clock advances per failure-detection period
+_TICK_SECONDS = 1.0
+
 
 class Cluster(AbstractContextManager):
     """A simulated CN deployment: bus + servers + shared task registry."""
@@ -63,23 +66,18 @@ class Cluster(AbstractContextManager):
         memory_per_node: int = 8000,
         slots_per_node: int = 64,
         per_hop_latency: float = 0.0,
-        node_names: Optional[Sequence[str]] = None,
         chaos: Optional[ChaosPolicy] = None,
         clock: Optional[VirtualClock] = None,
         failure_k: int = 3,
-        tick_period: float = 1.0,
         retry_backoff: Optional[ExponentialBackoff] = None,
         durable: bool = True,
-        journal_factory: Optional[Callable[[str], MemoryJournal]] = None,
         journal_dir: Optional[str] = None,
-        journal_group_commit: int = 0,
         telemetry: Optional[Telemetry] = _DEFAULT,  # type: ignore[assignment]
         verify_locking: Optional[bool] = None,
         queue_maxsize: int = 0,
         queue_policy: str = "block",
         checksums: bool = False,
         transport: "str | Transport | None" = None,
-        transport_options: Optional[dict] = None,
     ) -> None:
         if nodes < 1:
             raise ValueError("a cluster needs at least one node")
@@ -99,6 +97,8 @@ class Cluster(AbstractContextManager):
         env_selected = transport is None
         if transport is None:
             transport = transport_from_env()
+        if isinstance(transport, str) and transport not in TRANSPORTS:
+            create_transport(transport)  # raises "unknown transport"
         incompatible = []
         if chaos is not None:
             incompatible.append("chaos fault injection (ChaosPolicy)")
@@ -119,7 +119,7 @@ class Cluster(AbstractContextManager):
                     "and lock verification."
                 )
         if isinstance(transport, str):
-            transport = create_transport(transport, **(transport_options or {}))
+            transport = create_transport(transport)
         self.transport: Transport = transport
         self.transport.bind_cluster(self)
         self.lock_verifier: Optional[LockVerifier] = (
@@ -128,7 +128,6 @@ class Cluster(AbstractContextManager):
         self.registry = registry if registry is not None else TaskRegistry()
         self.chaos = chaos
         self.clock = clock if clock is not None else VirtualClock()
-        self.tick_period = tick_period
         #: the cluster's observability hub: always-on by default, pass
         #: ``telemetry=None`` (or a disabled hub) to strip instrumentation
         if telemetry is _DEFAULT:
@@ -141,12 +140,9 @@ class Cluster(AbstractContextManager):
             self.lock_verifier.attach_metrics(active.metrics)
         self.bus = MulticastBus(per_hop_latency=per_hop_latency, chaos=chaos)
         self.bus.set_telemetry(active)
-        names = list(node_names) if node_names else [f"node{i}" for i in range(nodes)]
-        if len(names) != nodes:
-            raise ValueError(f"{nodes} nodes but {len(names)} names")
         self.servers = [
             CNServer(
-                name,
+                f"node{i}",
                 self.bus,
                 self.registry,
                 memory_capacity=memory_per_node,
@@ -160,7 +156,7 @@ class Cluster(AbstractContextManager):
                 checksums=checksums,
                 transport=self.transport,
             )
-            for name in names
+            for i in range(nodes)
         ]
         #: whether the data plane seals/verifies CRC frame digests
         self.checksums = checksums
@@ -178,8 +174,9 @@ class Cluster(AbstractContextManager):
         #: cluster-wide job_id -> (manager, Job) binding; JobHandles
         #: resolve through this so failover re-binds clients transparently
         self.directory = JobDirectory()
-        if journal_dir is not None and journal_factory is None:
-            journal_factory = journal_factory_for_dir(journal_dir)
+        journal_factory = (
+            journal_factory_for_dir(journal_dir) if journal_dir is not None else None
+        )
         self.durable = durable or journal_factory is not None
         for server in self.servers:
             # chaos-triggered node death goes through the full kill path
@@ -187,9 +184,6 @@ class Cluster(AbstractContextManager):
                 lambda name=server.name: self.kill_node(name)
             )
             server.set_telemetry(active)
-            # optional journal group-commit (delivery records buffered and
-            # batched; flushed on non-delivery events + the tick barrier)
-            server.jobmanager.journal_group_commit = max(0, journal_group_commit)
             if self.durable:
                 backend = (
                     journal_factory(server.name)
@@ -307,7 +301,7 @@ class Cluster(AbstractContextManager):
             with self._tick_lock:
                 self._ticks += 1
                 tick = self._ticks
-                self.clock.advance(self.tick_period)
+                self.clock.advance(_TICK_SECONDS)
                 now = self.clock.now()
                 if self.chaos is not None and self.chaos.enabled:
                     for node in self.chaos.nodes_to_crash(tick):
@@ -355,7 +349,7 @@ class Cluster(AbstractContextManager):
     def start_heartbeats(self, interval: float = 0.05) -> None:
         """Run :meth:`tick` on a daemon thread every *interval* wall-clock
         seconds -- for runs that cannot call tick explicitly (the portal,
-        examples).  Virtual time still advances by ``tick_period`` per
+        examples).  Virtual time still advances by one second per
         tick, so deadlines stay in virtual seconds."""
         if self._pumper is not None and self._pumper.is_alive():
             return

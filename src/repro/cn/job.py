@@ -241,12 +241,6 @@ class Job:
         self.ledger_resident = 0
         self.ledger_peak = 0
         self.ledger_truncated = 0
-        # optional journal group-commit: when > 0, delivery records are
-        # buffered and flushed as one delivery_batch append per at most
-        # `_delivery_batching` messages (and on task-terminal, checkpoint,
-        # and tick barriers).  0 = write-ahead per fan-out (default).
-        self._delivery_batching = 0
-        self._pending_journal_deliveries: list[Message] = []
         #: manager epoch: bumped when a successor JobManager adopts this
         #: job after a failover; stamps every journal record so a zombie
         #: manager's late writes are fenced out (see repro.cn.durability)
@@ -287,44 +281,11 @@ class Job:
         self._journal = hook
 
     def journal_event(self, kind: str, data: dict) -> None:
-        """Append one record to the job journal (no-op when non-durable).
-
-        Any non-delivery record first flushes the group-commit delivery
-        buffer, so the journal never shows a state transition (terminal
-        outcome, checkpoint, job-finished) *before* the deliveries that
-        causally preceded it -- the write-ahead ordering replay relies on.
-        """
+        """Append one record to the job journal (no-op when non-durable)."""
         hook = self._journal
         if hook is None:
             return
-        if kind not in ("delivery", "delivery_batch"):
-            self.flush_deliveries()
         hook(kind, data)
-
-    def set_delivery_batching(self, max_pending: int) -> None:
-        """Enable journal group-commit: buffer up to *max_pending* ledger
-        entries and append them as one ``delivery_batch`` record instead
-        of journaling per fan-out.  The buffer is flushed by any
-        non-delivery journal event (task-terminal, checkpoint,
-        job-finished) and by the cluster tick barrier, bounding the
-        durability window.  ``0`` restores write-ahead per fan-out."""
-        flush = False
-        with self._lock:
-            self._delivery_batching = max(0, int(max_pending))
-            flush = self._delivery_batching == 0
-        if flush:
-            self.flush_deliveries()
-
-    def flush_deliveries(self) -> int:
-        """Journal any buffered (group-commit) delivery records now.
-        Returns the number of messages flushed."""
-        with self._lock:
-            pending = self._pending_journal_deliveries
-            if not pending:
-                return 0
-            self._pending_journal_deliveries = []
-        self._journal_deliveries(pending)
-        return len(pending)
 
     def _journal_deliveries(self, messages: Sequence[Message]) -> None:
         """Append delivery record(s) for *messages*: the singleton keeps
@@ -565,20 +526,7 @@ class Job:
         # peer managers) before queue delivery, so a successor's replay
         # sees every message a restarted attempt may need
         if ledgered and self._journal is not None:
-            to_journal: Optional[list[Message]] = ledgered
-            if self._delivery_batching > 0:
-                with self._lock:
-                    self._pending_journal_deliveries.extend(ledgered)
-                    if (
-                        len(self._pending_journal_deliveries)
-                        >= self._delivery_batching
-                    ):
-                        to_journal = self._pending_journal_deliveries
-                        self._pending_journal_deliveries = []
-                    else:
-                        to_journal = None
-            if to_journal:
-                self._journal_deliveries(to_journal)
+            self._journal_deliveries(ledgered)
         client_error: Optional[ShutdownError] = None
         for queue, message in deliveries:
             try:

@@ -152,11 +152,6 @@ class JobManager:
         self.failed_nodes: list[str] = []
         #: write-ahead job journal (replicated); None = non-durable mode
         self.journal: Optional[ReplicatedJournal] = None
-        #: journal group-commit: buffer up to this many delivery records
-        #: per job before appending one delivery_batch (0 = write-ahead
-        #: per fan-out, the default); flushed on every non-delivery
-        #: journal event and on the cluster tick barrier
-        self.journal_group_commit = 0
         #: cluster-wide job_id -> (manager, Job) map for client re-binding
         self.directory: Optional[JobDirectory] = None
         #: jobs this manager adopted from dead peers (failover audit trail)
@@ -203,12 +198,6 @@ class JobManager:
     def on_tick(self) -> list[str]:
         """One failure-detection period; recovers from any node newly
         declared dead.  Returns those nodes' names."""
-        # tick barrier: bound the group-commit durability window -- any
-        # delivery records still buffered since the last tick land now
-        with self._lock:
-            jobs = list(self.jobs.values())
-        for job in jobs:
-            job.flush_deliveries()
         newly_dead = self.failure_detector.tick()
         for node in newly_dead:
             self.handle_node_failure(node)
@@ -434,8 +423,6 @@ class JobManager:
                 job.job_id, kind, data, job.manager_epoch
             )
         )
-        if self.journal_group_commit:
-            job.set_delivery_batching(self.journal_group_commit)
 
     # -- job lifecycle -----------------------------------------------------------
     def create_job(

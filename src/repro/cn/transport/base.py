@@ -153,16 +153,16 @@ class Transport(abc.ABC):
         """Give the backend a back-reference to the owning cluster."""
 
 
-#: name -> factory; factories take the keyword options of their backend
-TRANSPORTS: dict[str, Callable[..., Transport]] = {}
+#: name -> zero-argument factory of the backend
+TRANSPORTS: dict[str, Callable[[], Transport]] = {}
 
 
-def register_transport(name: str, factory: Callable[..., Transport]) -> None:
+def register_transport(name: str, factory: Callable[[], Transport]) -> None:
     TRANSPORTS[name] = factory
 
 
-def create_transport(name: str, **options: Any) -> Transport:
-    """Instantiate a registered backend by name."""
+def create_transport(name: str) -> Transport:
+    """Instantiate a registered backend by name with its defaults."""
     try:
         factory = TRANSPORTS[name]
     except KeyError:
@@ -170,7 +170,7 @@ def create_transport(name: str, **options: Any) -> Transport:
         raise ConfigError(
             f"unknown transport {name!r}; known backends: {known}"
         ) from None
-    return factory(**options)
+    return factory()
 
 
 def transport_from_env(default: str = "inproc") -> str:

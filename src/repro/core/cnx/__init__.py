@@ -1,5 +1,6 @@
 """CNX: the CN compositional language (paper Fig. 2) -- model, parser,
-emitter, validator."""
+emitter.  Validation is the static analyzer's job
+(:func:`repro.analysis.validate_cnx`)."""
 
 from .emitter import emit, to_element
 from .parser import CnxParseError, parse, parse_element
@@ -14,7 +15,6 @@ from .schema import (
     CnxTask,
     CnxTaskReq,
 )
-from .validate import CnxValidationError, collect_problems, validate
 
 __all__ = [
     "CnxDocument",
@@ -31,7 +31,4 @@ __all__ = [
     "parse",
     "parse_element",
     "CnxParseError",
-    "validate",
-    "collect_problems",
-    "CnxValidationError",
 ]

@@ -8,7 +8,7 @@ from .cnx2code import (
     cnx_to_python,
     cnx_to_python_xslt,
 )
-from .pipeline import Pipeline, PipelineResult, run_pipeline
+from .pipeline import Pipeline, PipelineResult
 from .xmi2cnx import (
     STYLESHEET_DIR,
     graph_to_cnx,
@@ -22,7 +22,6 @@ from .xmi2cnx import (
 __all__ = [
     "Pipeline",
     "PipelineResult",
-    "run_pipeline",
     "GeneratedClient",
     "cnx_to_python",
     "cnx_to_java",

@@ -66,14 +66,15 @@ def cnx_to_python(doc: CnxDocument) -> str:
     client = doc.client
     buf = io.StringIO()
     w = buf.write
-    w('"""Client program generated by CNX2Py.\n\n')
-    w(f"client class : {client.cls}\n")
-    w(f"log file     : {client.log}\n")
-    w(f"port         : {client.port}\n")
-    w('"""\n\n')
+    # descriptor values enter the program only as repr() literals: text
+    # from the model must never land inside a string it could close
+    w('"""Client program generated by CNX2Py."""\n\n')
     w("from repro.cn import CNAPI, RunModel, TaskSpec\n")
     if any(t.dynamic for t in client.all_tasks()):
         w("from repro.cn.client import evaluate_arguments\n")
+    w(f"\nCLIENT_CLASS = {client.cls!r}\n")
+    w(f"LOG_FILE = {client.log!r}\n")
+    w(f"PORT = {client.port!r}\n")
     w("\n\n")
     w("def run(cluster, runtime_args=None, timeout=60.0):\n")
     w('    """Execute the composed job(s) on *cluster*; returns one result\n')
@@ -82,7 +83,7 @@ def cnx_to_python(doc: CnxDocument) -> str:
     w("    runtime_args = dict(runtime_args or {})\n")
     w("    job_results = []\n")
     for index, job in enumerate(client.jobs, start=1):
-        _emit_job(w, client.cls, job, index)
+        _emit_job(w, job, index)
     w("    return job_results\n")
     w("\n\n")
     w('if __name__ == "__main__":\n')
@@ -95,14 +96,14 @@ def cnx_to_python(doc: CnxDocument) -> str:
     return buf.getvalue()
 
 
-def _emit_job(w, client_cls: str, job: CnxJob, index: int) -> None:
+def _emit_job(w, job: CnxJob, index: int) -> None:
     label = job.name or f"job{index}"
     dynamic_names = {t.name for t in job.tasks if t.dynamic}
     static_count = sum(1 for t in job.tasks if not t.dynamic)
     total_memory = sum(t.task_req.memory for t in job.tasks)
-    w(f"\n    # --- {label} ---\n")
+    w(f"\n    # --- {label!r} ---\n")
     w(
-        f"    handle = api.create_job({client_cls!r}, "
+        f"    handle = api.create_job(CLIENT_CLASS, "
         f"requirements={{'tasks': {static_count}, 'memory': {total_memory}}})\n"
     )
     for task in job.tasks:

@@ -19,26 +19,20 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional, Union
 
+from repro.analysis import validate_cnx
 from repro.cn.cluster import Cluster
 from repro.cn.registry import TaskRegistry
 
 from ..cnx.emitter import emit as emit_cnx
 from ..cnx.schema import CnxDocument
-from ..cnx.validate import validate as validate_cnx
 from ..uml.activity import ActivityGraph
 from ..uml.model import Model
 from ..uml.validate import validate_graph
 from ..xmi.writer import write_model
-from .cnx2code import (
-    GeneratedClient,
-    cnx_to_java,
-    cnx_to_java_xslt,
-    cnx_to_python,
-    cnx_to_python_xslt,
-)
+from .cnx2code import GeneratedClient, cnx_to_java, cnx_to_python
 from .xmi2cnx import xmi_to_cnx, xmi_to_cnx_native
 
-__all__ = ["Pipeline", "PipelineResult", "run_pipeline"]
+__all__ = ["Pipeline", "PipelineResult"]
 
 
 @dataclass
@@ -61,30 +55,19 @@ class PipelineResult:
 
 
 class Pipeline:
-    """Configurable Fig. 6 pipeline.
+    """The Fig. 6 pipeline.
 
-    ``transform`` picks the XMI->CNX implementation and ``codegen`` the
-    CNX->client implementation: ``"xslt"`` (the paper-faithful stylesheet
-    run on the in-repo engine, the default for the transform) or
-    ``"native"`` (the Python generators).
+    ``transform`` picks the XMI->CNX implementation: ``"xslt"`` (the
+    paper-faithful stylesheet run on the in-repo engine, the default) or
+    ``"native"`` (the Python transformer).  The client programs always
+    come from the native generators; the XSLT generators
+    (:func:`~.cnx2code.cnx_to_python_xslt`) are their test oracle.
     """
 
-    def __init__(
-        self,
-        *,
-        transform: str = "xslt",
-        codegen: str = "native",
-        log: str = "CN_Client.log",
-        port: int = 5666,
-    ) -> None:
+    def __init__(self, *, transform: str = "xslt") -> None:
         if transform not in ("xslt", "native"):
             raise ValueError(f"unknown transform {transform!r}")
-        if codegen not in ("xslt", "native"):
-            raise ValueError(f"unknown codegen {codegen!r}")
         self.transform = transform
-        self.codegen = codegen
-        self.log = log
-        self.port = port
 
     # -- individual steps ---------------------------------------------------
     def to_model(self, source: Union[Model, ActivityGraph]) -> Model:
@@ -105,21 +88,17 @@ class Pipeline:
     def to_cnx(self, xmi_text: str) -> CnxDocument:
         """Step 3: XMI -> CNX (XSLT or native)."""
         if self.transform == "xslt":
-            doc = xmi_to_cnx(xmi_text, log=self.log, port=self.port)
+            doc = xmi_to_cnx(xmi_text)
         else:
-            doc = xmi_to_cnx_native(xmi_text, log=self.log, port=self.port)
+            doc = xmi_to_cnx_native(xmi_text)
         return validate_cnx(doc)
 
     def to_client(self, doc: CnxDocument) -> str:
         """Step 4: CNX -> Python client program source."""
-        if self.codegen == "xslt":
-            return cnx_to_python_xslt(doc)
         return cnx_to_python(doc)
 
     def to_java(self, doc: CnxDocument) -> str:
         """Step 4 (Java target): CNX -> Java client source."""
-        if self.codegen == "xslt":
-            return cnx_to_java_xslt(doc)
         return cnx_to_java(doc)
 
     def deploy(self, python_source: str) -> GeneratedClient:
@@ -176,15 +155,3 @@ class Pipeline:
                 cluster.shutdown()
         return result
 
-
-def run_pipeline(
-    source: Union[Model, ActivityGraph],
-    cluster: Optional[Cluster] = None,
-    **kwargs: Any,
-) -> PipelineResult:
-    """Convenience wrapper: default :class:`Pipeline` with keyword options
-    split between constructor (transform/log/port) and run()."""
-    ctor_keys = {"transform", "codegen", "log", "port"}
-    ctor = {k: v for k, v in kwargs.items() if k in ctor_keys}
-    run_kwargs = {k: v for k, v in kwargs.items() if k not in ctor_keys}
-    return Pipeline(**ctor).run(source, cluster, **run_kwargs)

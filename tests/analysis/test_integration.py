@@ -6,12 +6,12 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis import CnxValidationError
 from repro.cn import Cluster
 from repro.cn.client import ClientRunner
 from repro.cn.portal import Portal
 from repro.cn.registry import TaskRegistry
 from repro.core.cnx import parse
-from repro.core.cnx.validate import CnxValidationError
 from repro.core.xmi import write_graph
 
 DATA = Path(__file__).parent.parent / "data"

@@ -108,6 +108,22 @@ class TestDynamicsPass:
         assert parse_multiplicity("1..2..3") is None
         assert parse_multiplicity("-1") is None
 
+    def test_argument_allow_list(self):
+        from repro.analysis import argument_expression_problem
+
+        for fine in ("[(i,) for i in range(n)]", "[(i,) for i in range(1, n + 1)]",
+                     "[[a, b] for a in list(xs) for b in range(min(len(xs), 3))]"):
+            assert argument_expression_problem(fine) is None, fine
+        assert "attribute" in argument_expression_problem("[(x.real,) for x in xs]")
+        assert "dunder" in argument_expression_problem("[(__x__,)]")
+        assert "calls" in argument_expression_problem("[(sorted(xs),)]")
+        escape = task(
+            "e", dynamic=True, multiplicity="*",
+            arguments="[(len(().__class__.__mro__[1].__subclasses__()),)]",
+        )
+        cn305 = analyze_cnx(doc_of(CnxJob(tasks=[escape]))).by_code("CN305")
+        assert len(cn305) == 1 and "attribute access" in cn305[0].message
+
     def test_dynamic_codes(self):
         lacking = task("a", dynamic=True)
         malformed = task("b", dynamic=True, multiplicity="x..y")
@@ -275,19 +291,19 @@ class TestContextGatedPasses:
 
 class TestLegacyWrappers:
     def test_collect_problems_matches_error_messages(self):
-        from repro.core.cnx.validate import CnxValidationError, collect_problems, validate
+        from repro.analysis import CnxValidationError, validate_cnx
 
         document = doc_of(CnxJob(tasks=[task("a", ["a"]), task("b", ["ghost"])]))
-        problems = collect_problems(document)
+        problems = analyze_cnx(document).legacy_problems()
         assert any("depends on itself" in p for p in problems)
         assert any("depends on unknown task 'ghost'" in p for p in problems)
         with pytest.raises(CnxValidationError) as excinfo:
-            validate(document)
+            validate_cnx(document)
         assert excinfo.value.problems == problems
         assert excinfo.value.diagnostics  # structured records ride along
 
     def test_validate_passes_clean_document(self):
-        from repro.core.cnx.validate import validate
+        from repro.analysis import validate_cnx
 
         document = doc_of(CnxJob(tasks=[task("a"), task("b", ["a"])]))
-        assert validate(document) is document
+        assert validate_cnx(document) is document

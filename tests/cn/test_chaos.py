@@ -31,6 +31,8 @@ from repro.cn import (
 from repro.cn.trace import clear_undeliverable, undeliverable_events
 from repro.core.cnx import CnxClient, CnxDocument, CnxJob, CnxTask, CnxTaskReq
 
+from ..conftest import wait_for_fenced_attempt
+
 
 class Echo(Task):
     """Returns the payload of the first USER message it receives."""
@@ -510,7 +512,7 @@ class TestGracefulDegradation:
 
     def test_degradation_can_be_disabled(self):
         from repro.cn import TaskFailedError, NoWillingTaskManager
-        from repro.core.cnx.validate import CnxValidationError
+        from repro.analysis import CnxValidationError
 
         with Cluster(2, registry=echo_registry(), memory_per_node=2000) as cluster:
             runner = ClientRunner(cluster, degrade=False)
@@ -543,11 +545,5 @@ class TestEpochFencing:
             # node is dead but nothing re-placed yet (no ticks): the gated
             # thread finishing now is a zombie and must not publish
             release.set()
-            import time
-
-            deadline = time.time() + 5
-            while handle.job.task("g").state is TaskState.RUNNING:
-                if time.time() > deadline:
-                    break
-                time.sleep(0.01)
+            wait_for_fenced_attempt(cluster, handle.job_id, "g")
             assert handle.job.task("g").result is None

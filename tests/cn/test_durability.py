@@ -34,6 +34,8 @@ from repro.cn import (
 )
 from repro.cn.durability import _decode_data, _encode_data, journal_factory_for_dir
 
+from ..conftest import wait_for_fenced_attempt
+
 
 class Echo(Task):
     """Returns the payload of the first USER message it receives."""
@@ -762,13 +764,7 @@ class TestEvictJob:
                 tm = cluster.servers[1].taskmanager
                 assert tm.evict_job(handle.job_id) == ["g"]
                 release.set()
-                import time
-
-                deadline = time.time() + 5
-                while handle.job.task("g").state is TaskState.RUNNING:
-                    if time.time() > deadline:
-                        break
-                    time.sleep(0.01)
+                wait_for_fenced_attempt(cluster, handle.job_id, "g")
                 assert handle.job.task("g").result is None
         finally:
             release.set()

@@ -167,15 +167,9 @@ class TestClusterLifecycle:
             assert len(cluster.bus.subscriber_names()) == 2
         assert cluster.bus.subscriber_names() == []
 
-    def test_node_names(self, registry):
-        cluster = Cluster(2, registry=registry, node_names=["alpha", "beta"])
-        assert cluster.node_names == ["alpha", "beta"]
-
     def test_bad_node_count(self, registry):
         with pytest.raises(ValueError):
             Cluster(0, registry=registry)
-        with pytest.raises(ValueError):
-            Cluster(2, registry=registry, node_names=["only-one"])
 
     def test_server_lookup(self, cluster):
         assert cluster.server("node1").name == "node1"

@@ -269,3 +269,70 @@ class TestPortalHTTP:
         )
         response = json.load(urllib.request.urlopen(request))
         assert response["status"] == "done"
+
+
+@pytest.fixture(scope="module")
+def floyd_portal():
+    from repro.apps.floyd import floyd_registry
+
+    portal = Portal(Cluster(3, registry=floyd_registry()), transform="native")
+    yield portal
+    portal.close()
+    portal.cluster.shutdown()
+
+
+def fig5_xmi(**options):
+    from repro.apps.floyd import random_weighted_graph, store_matrix
+    from repro.apps.floyd.model import build_fig5_model
+
+    source = store_matrix("portal-injection", random_weighted_graph(6, seed=3))
+    return write_graph(build_fig5_model(matrix_source=source, sink="", **options))
+
+
+class TestPortalInjection:
+    """Model text reaches generated Python source and an ``eval``; neither
+    may become code the portal runs."""
+
+    def test_client_class_cannot_inject_code(self, floyd_portal):
+        import builtins
+
+        name = 'X"""\nimport builtins; builtins.CN_PWNED_CLASS = 1\n"""'
+        try:
+            submission = floyd_portal.submit(
+                fig5_xmi(name=name), runtime_args={"n_workers": 2}
+            )
+            assert not hasattr(builtins, "CN_PWNED_CLASS")
+            assert submission.status == "done", submission.error
+            namespace = {}
+            exec(compile(submission.python_source, "<client>", "exec"), namespace)
+            assert namespace["CLIENT_CLASS"] == name
+        finally:
+            if hasattr(builtins, "CN_PWNED_CLASS"):
+                del builtins.CN_PWNED_CLASS
+
+    def test_argument_expression_cannot_escape_to_builtins(self, floyd_portal):
+        import builtins
+
+        # restricted builtins alone: catch_warnings()._module.__builtins__
+        # is the real builtins dict, reachable through attribute access
+        escape = (
+            "[(b['setattr'](b['__import__']('builtins'), 'CN_PWNED_ARGS', 1),) "
+            "for c in ().__class__.__mro__[1].__subclasses__() "
+            "if c.__name__ == 'catch_warnings' "
+            "for b in [c()._module.__builtins__]]"
+        )
+        try:
+            submission = floyd_portal.submit(
+                fig5_xmi(argument_expr=escape), runtime_args={"n_workers": 2}
+            )
+            assert not hasattr(builtins, "CN_PWNED_ARGS")
+            assert submission.status == "rejected"
+            assert "CN305" in {d["code"] for d in submission.diagnostics}
+        finally:
+            if hasattr(builtins, "CN_PWNED_ARGS"):
+                del builtins.CN_PWNED_ARGS
+
+    def test_allow_listed_argument_expression_still_runs(self, floyd_portal):
+        submission = floyd_portal.submit(fig5_xmi(), runtime_args={"n_workers": 2})
+        assert submission.status == "done", submission.error
+        assert "taskjoin" in submission.results[0]

@@ -317,6 +317,19 @@ class TestDynamicExpansion:
         with pytest.raises(JobError):
             evaluate_arguments("__import__('os').getcwd()", {})
 
+    @pytest.mark.parametrize(
+        "expression",
+        [
+            "[(len(().__class__.__mro__[1].__subclasses__()),)]",
+            "[(i,) for i in range(__n__)]",
+            "[(f(),) for f in [min]]",
+            "[((lambda: 1)(),)]",
+        ],
+    )
+    def test_evaluate_arguments_refuses_outside_allow_list(self, expression):
+        with pytest.raises(JobError, match="dynamic argument expression"):
+            evaluate_arguments(expression, {"__n__": 1})
+
     def test_expansion_rewires_dependencies(self):
         specs = expand_dynamic_tasks(
             self.doc("[(i,) for i in range(1, 4)]").client.jobs[0], {}

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis import CnxValidationError, analyze_cnx, validate_cnx
 from repro.core.cnx import (
     CnxClient,
     CnxDocument,
@@ -10,11 +11,8 @@ from repro.core.cnx import (
     CnxParseError,
     CnxTask,
     CnxTaskReq,
-    CnxValidationError,
-    collect_problems,
     emit,
     parse,
-    validate,
 )
 from repro.util.xmlutil import xml_equal
 
@@ -214,57 +212,57 @@ class TestSchema:
 
 class TestValidator:
     def test_valid_passes(self):
-        validate(small_doc())
+        validate_cnx(small_doc())
 
     def test_duplicate_names(self):
         doc = small_doc()
         doc.client.jobs[0].tasks.append(CnxTask("a", "x.jar", "X"))
-        assert any("duplicate" in p for p in collect_problems(doc))
+        assert any("duplicate" in p for p in analyze_cnx(doc).legacy_problems())
 
     def test_unknown_dependency(self):
         doc = small_doc()
         doc.client.jobs[0].tasks[1].depends = ["ghost"]
-        assert any("unknown task" in p for p in collect_problems(doc))
+        assert any("unknown task" in p for p in analyze_cnx(doc).legacy_problems())
 
     def test_self_dependency_fig2_erratum(self):
         # the exact bug in the paper's Fig. 2 listing
         doc = small_doc()
         doc.client.jobs[0].tasks[1].depends = ["b"]
-        problems = collect_problems(doc)
+        problems = analyze_cnx(doc).legacy_problems()
         assert any("depends on itself" in p for p in problems)
 
     def test_bad_memory(self):
         doc = small_doc()
         doc.client.jobs[0].tasks[0].task_req = CnxTaskReq(memory=0)
-        assert any("memory" in p for p in collect_problems(doc))
+        assert any("memory" in p for p in analyze_cnx(doc).legacy_problems())
 
     def test_unknown_runmodel(self):
         doc = small_doc()
         doc.client.jobs[0].tasks[0].task_req = CnxTaskReq(runmodel="NOPE")
-        assert any("runmodel" in p for p in collect_problems(doc))
+        assert any("runmodel" in p for p in analyze_cnx(doc).legacy_problems())
 
     def test_dynamic_without_multiplicity(self):
         doc = small_doc()
         doc.client.jobs[0].tasks[0].dynamic = True
-        assert any("multiplicity" in p for p in collect_problems(doc))
+        assert any("multiplicity" in p for p in analyze_cnx(doc).legacy_problems())
 
     def test_dynamic_attrs_without_flag(self):
         doc = small_doc()
         doc.client.jobs[0].tasks[0].arguments = "range(2)"
-        assert any("not\n                " not in p and "dynamic" in p for p in collect_problems(doc))
+        assert any("not\n                " not in p and "dynamic" in p for p in analyze_cnx(doc).legacy_problems())
 
     def test_port_range(self):
         doc = small_doc(port=99999)
-        assert any("port" in p for p in collect_problems(doc))
+        assert any("port" in p for p in analyze_cnx(doc).legacy_problems())
 
     def test_cycle_detected(self):
         doc = small_doc()
         doc.client.jobs[0].tasks[0].depends = ["b"]
-        assert any("cycle" in p for p in collect_problems(doc))
+        assert any("cycle" in p for p in analyze_cnx(doc).legacy_problems())
 
     def test_validate_raises_with_all_problems(self):
         doc = small_doc(port=0)
         doc.client.jobs[0].tasks[0].task_req = CnxTaskReq(memory=-1)
         with pytest.raises(CnxValidationError) as excinfo:
-            validate(doc)
+            validate_cnx(doc)
         assert len(excinfo.value.problems) >= 2

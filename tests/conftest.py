@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.cn.cluster import Cluster
@@ -38,6 +40,22 @@ class Boom(Task):
 
     def run(self, ctx):
         raise RuntimeError("boom")
+
+
+def wait_for_fenced_attempt(
+    cluster: Cluster, job_id: str, task: str, timeout: float = 5.0
+) -> None:
+    """Block until an ``attempt:`` span of *task* ends with ``fenced=True``
+    (the epoch fence discarded that run's outcome); fail after *timeout*."""
+    prefix = f"attempt:{task}#"
+    deadline = time.monotonic() + timeout
+    while not any(
+        span.span_id.startswith(prefix) and span.attrs.get("fenced")
+        for span in cluster.telemetry.spans.spans(job_id)
+    ):
+        if time.monotonic() > deadline:
+            pytest.fail(f"no fenced attempt of {task!r} within {timeout} s")
+        time.sleep(0.005)
 
 
 def basic_registry() -> TaskRegistry:

@@ -202,15 +202,25 @@ class TestXsltCodegen:
         built = namespace["build_document"]()
         assert built.client.jobs[0].tasks[0].params[0].value == 'say "hi" \\ there'
 
-    def test_pipeline_codegen_option(self):
+    def test_fig3_xslt_client_runs_end_to_end(self):
+        import numpy as np
+
+        from repro.apps.floyd import (
+            build_fig3_model,
+            floyd_registry,
+            floyd_warshall,
+            random_weighted_graph,
+            store_matrix,
+        )
+        from repro.core.transform.cnx2code import cnx_to_python_xslt
         from repro.core.transform.pipeline import Pipeline
 
-        import pytest as _pytest
-
-        with _pytest.raises(ValueError):
-            Pipeline(codegen="magic")
-        pipeline = Pipeline(codegen="xslt", transform="native")
-        from repro.apps.floyd.model import build_fig3_model
-
-        outcome = pipeline.run(build_fig3_model(n_workers=2), execute=False)
-        assert "XSLT edition" in outcome.python_source
+        matrix = random_weighted_graph(10, seed=11)
+        source = store_matrix("xslt-codegen-e2e", matrix)
+        graph = build_fig3_model(n_workers=2, matrix_source=source, sink="")
+        doc = Pipeline(transform="native").run(graph, execute=False).cnx_doc
+        python_source = cnx_to_python_xslt(doc)
+        assert "XSLT edition" in python_source
+        with Cluster(4, registry=floyd_registry()) as cluster:
+            job_results = GeneratedClient(python_source).run(cluster, timeout=60)
+        assert np.allclose(job_results[0]["tctask999"], floyd_warshall(matrix))

@@ -27,11 +27,12 @@ def test_fig2_cnx_snapshot():
 
 
 def test_snapshots_parse():
-    from repro.core.cnx import parse, validate
+    from repro.analysis import validate_cnx
+    from repro.core.cnx import parse
     from repro.core.xmi import read_graphs
 
     graphs = read_graphs((DATA / "fig3_model.xmi").read_text())
     assert graphs[0].name == "TransClosure"
     doc = parse((DATA / "fig2_descriptor.cnx").read_text())
-    validate(doc)
+    validate_cnx(doc)
     assert doc.client.jobs[0].task_names()[0] == "tctask0"

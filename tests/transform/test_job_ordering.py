@@ -6,13 +6,13 @@ import time
 
 import pytest
 
+from repro.analysis import analyze_cnx
 from repro.cn import ClientRunner, Cluster, Task, TaskRegistry
 from repro.core.cnx import (
     CnxClient,
     CnxDocument,
     CnxJob,
     CnxTask,
-    collect_problems,
     emit,
     parse,
 )
@@ -108,23 +108,23 @@ class TestCnxOrderingValidation:
 
     def test_unknown_after(self):
         doc = self.doc([self.job("a", after=["ghost"])])
-        assert any("unknown job" in p for p in collect_problems(doc))
+        assert any("unknown job" in p for p in analyze_cnx(doc).legacy_problems())
 
     def test_self_after(self):
         doc = self.doc([self.job("a", after=["a"])])
-        assert any("after itself" in p for p in collect_problems(doc))
+        assert any("after itself" in p for p in analyze_cnx(doc).legacy_problems())
 
     def test_unnamed_with_after(self):
         doc = self.doc([self.job("a"), self.job("", after=["a"])])
-        assert any("must be named" in p for p in collect_problems(doc))
+        assert any("must be named" in p for p in analyze_cnx(doc).legacy_problems())
 
     def test_cycle(self):
         doc = self.doc([self.job("a", after=["b"]), self.job("b", after=["a"])])
-        assert any("cyclic job ordering" in p for p in collect_problems(doc))
+        assert any("cyclic job ordering" in p for p in analyze_cnx(doc).legacy_problems())
 
     def test_duplicate_names(self):
         doc = self.doc([self.job("a"), self.job("a")])
-        assert any("duplicate job name" in p for p in collect_problems(doc))
+        assert any("duplicate job name" in p for p in analyze_cnx(doc).legacy_problems())
 
 
 class TestRunnerBatches:

@@ -14,7 +14,7 @@ from repro.apps.floyd import (
 )
 from repro.cn import Cluster
 from repro.core.transform.cli import main as cli_main
-from repro.core.transform.pipeline import Pipeline, run_pipeline
+from repro.core.transform.pipeline import Pipeline
 
 
 @pytest.fixture
@@ -69,10 +69,10 @@ class TestPipeline:
         with pytest.raises(ValueError):
             Pipeline(transform="magic")
 
-    def test_run_pipeline_kwarg_split(self, floyd_cluster):
+    def test_native_pipeline_runs_on_given_cluster(self, floyd_cluster):
         matrix, graph = small_graph(seed=8)
-        outcome = run_pipeline(graph, floyd_cluster, transform="native", timeout=60)
-        assert outcome.job_results
+        outcome = Pipeline(transform="native").run(graph, floyd_cluster, timeout=60)
+        assert np.allclose(outcome.results["tctask999"], floyd_warshall(matrix))
 
     def test_owns_cluster_when_none_given(self):
         matrix, graph = small_graph(seed=9)

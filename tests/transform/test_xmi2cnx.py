@@ -161,10 +161,11 @@ class TestMultiJob:
 
 class TestEmittedDescriptor:
     def test_emit_valid_and_reparseable(self):
-        from repro.core.cnx import parse, validate
+        from repro.analysis import validate_cnx
+        from repro.core.cnx import parse
 
         xmi = write_graph(build_fig3_model())
         doc = xmi_to_cnx(xmi)
-        validate(doc)
+        validate_cnx(doc)
         reparsed = parse(emit(doc))
         assert normalize(reparsed) == normalize(doc)
